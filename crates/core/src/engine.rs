@@ -1310,7 +1310,7 @@ impl PierNode {
         let spec = QuerySpec { id, kind, output_names, continuous };
         self.results.insert(id, QueryResults::new(spec.clone()));
         // Disseminate to every node (including ourselves, which installs it).
-        self.dht.broadcast(ctx, PierPayload::Query(spec));
+        self.dht.broadcast(ctx, PierPayload::Query(Box::new(spec)));
         self.process_upcalls(ctx);
         Ok(id)
     }
@@ -1365,7 +1365,7 @@ impl PierNode {
 
     fn on_broadcast(&mut self, ctx: &mut Ctx<'_>, payload: PierPayload) {
         match payload {
-            PierPayload::Query(spec) => self.install_query(ctx, spec),
+            PierPayload::Query(spec) => self.install_query(ctx, *spec),
             PierPayload::StopQuery(id) => {
                 // Ship this query's buffered result rows while the trace can
                 // still account for them, then keep the trace so a later
@@ -1510,7 +1510,8 @@ impl PierNode {
             *reporters += 1;
             acc.merge(&trace);
         } else {
-            let payload = PierPayload::TraceReport { query: id, node: self.addr, trace };
+            let payload =
+                PierPayload::TraceReport { query: id, node: self.addr, trace: Box::new(trace) };
             self.dht.send_direct(ctx, id.origin(), payload);
         }
     }
@@ -3590,7 +3591,7 @@ impl PierNode {
             // The origin applies the staged spec in the epoch evaluation that
             // follows this call; other nodes apply it at their next epoch.
             let spec = self.queries[&id].pending_spec.clone().expect("pending spec staged above");
-            self.dht.broadcast(ctx, PierPayload::Query(spec));
+            self.dht.broadcast(ctx, PierPayload::Query(Box::new(spec)));
             self.process_upcalls(ctx);
         }
     }
@@ -3679,7 +3680,7 @@ impl PierNode {
             self.plan_cache.invalidate(&sql);
             self.stats.feedback_replans += 1;
             let spec = self.queries[&id].pending_spec.clone().expect("pending spec staged above");
-            self.dht.broadcast(ctx, PierPayload::Query(spec));
+            self.dht.broadcast(ctx, PierPayload::Query(Box::new(spec)));
             self.process_upcalls(ctx);
         }
     }
@@ -3967,7 +3968,7 @@ impl Node for PierNode {
                     // the plan every few epochs so nodes that joined (or rejoined
                     // after a failure) start participating.
                     if spec.origin() == self.addr && evaluations % 3 == 0 {
-                        self.dht.broadcast(ctx, PierPayload::Query(spec));
+                        self.dht.broadcast(ctx, PierPayload::Query(Box::new(spec)));
                     }
                     self.run_epoch(ctx, id);
                     let delay = epoch_align_delay(ctx.now(), &c);

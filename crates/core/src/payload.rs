@@ -18,9 +18,9 @@ use pier_simnet::{NodeAddr, WireSize};
 
 /// Application-level message / stored value.
 ///
-/// Variant sizes differ wildly (a disseminated `QuerySpec` vs a stop token);
-/// payloads are moved, not stored in bulk, so boxing would only add churn.
-#[allow(clippy::large_enum_variant)]
+/// Kept small, because every simulator event moves a
+/// [`PierMsg`](crate::engine::PierMsg) by value: the two rare, fat variants
+/// (a disseminated `QuerySpec`, an `EXPLAIN ANALYZE` trace report) are boxed.
 #[derive(Clone, Debug, PartialEq)]
 pub enum PierPayload {
     /// A base-table tuple stored in the DHT.
@@ -33,7 +33,7 @@ pub enum PierPayload {
     /// row-major or compressed columnar) and sizes itself accordingly.
     TupleBatch(TupleBlock),
     /// A query plan being disseminated to all nodes.
-    Query(QuerySpec),
+    Query(Box<QuerySpec>),
     /// Tear down a (continuous) query everywhere.
     StopQuery(QueryId),
     /// Partial aggregation state flowing toward the aggregation root.
@@ -157,7 +157,7 @@ pub enum PierPayload {
         /// The reporting node.
         node: NodeAddr,
         /// Its producer-side counters for the query.
-        trace: OpTrace,
+        trace: Box<OpTrace>,
     },
     /// Automatic-statistics gossip: the sender's entire epoch-stamped view of
     /// per-node table summaries, pushed to a ring neighbour (anti-entropy).
@@ -251,5 +251,15 @@ mod tests {
             combined: false,
         };
         assert!(bloom.wire_size() > 64 * 8);
+    }
+
+    /// Every queued simulator event, handler action and DHT upcall moves a
+    /// `PierMsg` by value, so its size is paid on the simulator's hot path.
+    /// A new variant that breaks this bound must be boxed, like `Query` and
+    /// `TraceReport`.
+    #[test]
+    fn pier_msg_stays_small() {
+        let size = std::mem::size_of::<crate::engine::PierMsg>();
+        assert!(size <= 256, "PierMsg is {size} bytes; box the variant that grew it");
     }
 }

@@ -56,33 +56,40 @@ impl Id {
         u64::from_be_bytes(b)
     }
 
+    /// The identifier as three big-endian limbs: bits 159..128, 127..64
+    /// and 63..0 (bytes 0..4, 4..12 and 12..20).
+    fn limbs(&self) -> (u32, u64, u64) {
+        let b = &self.0;
+        let mut mid = [0u8; 8];
+        mid.copy_from_slice(&b[4..12]);
+        (u32::from_be_bytes([b[0], b[1], b[2], b[3]]), u64::from_be_bytes(mid), self.low64())
+    }
+
+    /// Inverse of [`Id::limbs`].
+    fn from_limbs(hi: u32, mid: u64, lo: u64) -> Id {
+        let mut b = [0u8; ID_BYTES];
+        b[..4].copy_from_slice(&hi.to_be_bytes());
+        b[4..12].copy_from_slice(&mid.to_be_bytes());
+        b[12..].copy_from_slice(&lo.to_be_bytes());
+        Id(b)
+    }
+
     /// Modular addition: `self + other (mod 2^160)`.
     pub fn wrapping_add(&self, other: &Id) -> Id {
-        let mut out = [0u8; ID_BYTES];
-        let mut carry = 0u16;
-        for i in (0..ID_BYTES).rev() {
-            let sum = self.0[i] as u16 + other.0[i] as u16 + carry;
-            out[i] = (sum & 0xFF) as u8;
-            carry = sum >> 8;
-        }
-        Id(out)
+        let ((ah, am, al), (bh, bm, bl)) = (self.limbs(), other.limbs());
+        let (lo, c0) = al.overflowing_add(bl);
+        let (mid, c1) = am.overflowing_add(bm);
+        let (mid, c2) = mid.overflowing_add(u64::from(c0));
+        Id::from_limbs(ah.wrapping_add(bh).wrapping_add(u32::from(c1 | c2)), mid, lo)
     }
 
     /// Modular subtraction: `self - other (mod 2^160)`.
     pub fn wrapping_sub(&self, other: &Id) -> Id {
-        let mut out = [0u8; ID_BYTES];
-        let mut borrow = 0i16;
-        for i in (0..ID_BYTES).rev() {
-            let diff = self.0[i] as i16 - other.0[i] as i16 - borrow;
-            if diff < 0 {
-                out[i] = (diff + 256) as u8;
-                borrow = 1;
-            } else {
-                out[i] = diff as u8;
-                borrow = 0;
-            }
-        }
-        Id(out)
+        let ((ah, am, al), (bh, bm, bl)) = (self.limbs(), other.limbs());
+        let (lo, b0) = al.overflowing_sub(bl);
+        let (mid, b1) = am.overflowing_sub(bm);
+        let (mid, b2) = mid.overflowing_sub(u64::from(b0));
+        Id::from_limbs(ah.wrapping_sub(bh).wrapping_sub(u32::from(b1 | b2)), mid, lo)
     }
 
     /// The identifier `2^k (mod 2^160)`; `2^160` wraps to zero.
@@ -312,6 +319,118 @@ mod tests {
         assert_eq!(id.to_hex().len(), 40);
         assert!(format!("{id:?}").contains("abababab"));
         assert_eq!(format!("{id}"), "abababab");
+    }
+
+    /// Byte-at-a-time `a + b (mod 2^160)`: the reference the limb code
+    /// must equal.
+    fn bytewise_add(a: &Id, b: &Id) -> Id {
+        let mut out = [0u8; ID_BYTES];
+        let mut carry = 0u16;
+        for i in (0..ID_BYTES).rev() {
+            let sum = a.0[i] as u16 + b.0[i] as u16 + carry;
+            out[i] = (sum & 0xFF) as u8;
+            carry = sum >> 8;
+        }
+        Id(out)
+    }
+
+    /// Byte-at-a-time `a - b (mod 2^160)`.
+    fn bytewise_sub(a: &Id, b: &Id) -> Id {
+        let mut out = [0u8; ID_BYTES];
+        let mut borrow = 0i16;
+        for i in (0..ID_BYTES).rev() {
+            let diff = a.0[i] as i16 - b.0[i] as i16 - borrow;
+            borrow = i16::from(diff < 0);
+            out[i] = (diff + 256 * borrow) as u8;
+        }
+        Id(out)
+    }
+
+    /// Reference clockwise interval test written with distances only:
+    /// `x ∈ (a, b)` iff `0 < d(a, x) < d(a, b)`, where `(a, a)` is the whole
+    /// ring minus `a`; `(a, b]` adds `x == b`, and `(a, a]` is the whole ring.
+    fn reference_open(x: &Id, a: &Id, b: &Id) -> bool {
+        let (dx, db) = (bytewise_sub(x, a), bytewise_sub(b, a));
+        dx != Id::ZERO && (a == b || dx < db)
+    }
+
+    fn reference_half_open(x: &Id, a: &Id, b: &Id) -> bool {
+        a == b || x == b || reference_open(x, a, b)
+    }
+
+    /// Ids on both sides of every limb boundary (bytes 3/4 and 11/12), at
+    /// the ends of the ring, and with runs of `0xFF` that make a carry or
+    /// borrow ripple across limbs.
+    fn edge_ids() -> Vec<Id> {
+        let mut ids = vec![Id::ZERO, Id::MAX, Id::from_u64(1), Id::from_u64(u64::MAX)];
+        for bit in [0, 1, 63, 64, 65, 127, 128, 129, 158, 159] {
+            let p = Id::power_of_two(bit);
+            ids.push(p);
+            ids.push(bytewise_sub(&p, &Id::from_u64(1)));
+            ids.push(bytewise_add(&p, &Id::from_u64(1)));
+        }
+        for (from, to) in [(0, 4), (4, 12), (12, 20), (3, 5), (11, 13), (2, 14)] {
+            let mut b = [0u8; ID_BYTES];
+            b[from..to].fill(0xFF);
+            ids.push(Id(b));
+            let mut b = [0xFFu8; ID_BYTES];
+            b[from..to].fill(0);
+            ids.push(Id(b));
+        }
+        ids
+    }
+
+    fn random_ids(n: usize) -> Vec<Id> {
+        let mut rng = pier_simnet::DetRng::new(0x1D5);
+        (0..n)
+            .map(|_| {
+                let mut b = [0u8; ID_BYTES];
+                rng.fill_bytes(&mut b);
+                Id(b)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn limb_arithmetic_matches_bytewise_reference() {
+        let mut ids = edge_ids();
+        ids.extend(random_ids(64));
+        for a in &ids {
+            for b in &ids {
+                assert_eq!(a.wrapping_add(b), bytewise_add(a, b), "{a:?} + {b:?}");
+                assert_eq!(a.wrapping_sub(b), bytewise_sub(a, b), "{a:?} - {b:?}");
+                assert_eq!(a.distance_to(b), bytewise_sub(b, a), "d({a:?}, {b:?})");
+            }
+            for k in 0..=ID_BITS {
+                assert_eq!(
+                    a.finger_target(k),
+                    bytewise_add(a, &Id::power_of_two(k)),
+                    "{a:?} + 2^{k}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn interval_tests_match_distance_reference() {
+        let mut ids = edge_ids();
+        ids.extend(random_ids(24));
+        for x in &ids {
+            for a in &ids {
+                for b in &ids {
+                    assert_eq!(
+                        x.in_open_interval(a, b),
+                        reference_open(x, a, b),
+                        "{x:?} in ({a:?}, {b:?})"
+                    );
+                    assert_eq!(
+                        x.in_half_open_interval(a, b),
+                        reference_half_open(x, a, b),
+                        "{x:?} in ({a:?}, {b:?}]"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

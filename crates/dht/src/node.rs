@@ -30,6 +30,7 @@ use crate::messages::{DhtMsg, Peer, RouteBody, RouteEnvelope, Upcall, WireItem};
 use crate::storage::SoftStateStore;
 use pier_simnet::{Context, Duration, NodeAddr, SimTime, WireSize};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Timer tokens used by the DHT layer.  The enclosing node must route timer
 /// callbacks with tokens in `TOKEN_BASE..TOKEN_LIMIT` back to
@@ -50,6 +51,36 @@ pub mod timers {
     /// Join retry while not yet part of the ring.
     pub const JOIN_RETRY: u64 = 5;
 }
+
+/// Multiplicative (Fx-style) hasher for the DHT's per-message maps.  Their
+/// keys are simulator addresses and this node's own request ids, never input
+/// from outside the program, so there are no crafted collisions to resist;
+/// none of these maps is iterated, so hash order cannot reach results.
+#[derive(Default)]
+struct MulHasher(u64);
+
+impl Hasher for MulHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517C_C1B7_2722_0A95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A `HashMap` hashed with [`MulHasher`].
+type MulHashMap<K, V> = HashMap<K, V, BuildHasherDefault<MulHasher>>;
 
 /// Why a `FindSuccessor` request was issued.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -104,9 +135,9 @@ pub struct DhtNode<P> {
     fingers: Vec<Option<Peer>>,
     next_finger: usize,
     store: SoftStateStore<P>,
-    pending_lookups: HashMap<u64, LookupPurpose>,
+    pending_lookups: MulHashMap<u64, LookupPurpose>,
     next_req_id: u64,
-    last_heard: HashMap<NodeAddr, SimTime>,
+    last_heard: MulHashMap<NodeAddr, SimTime>,
     upcalls: Vec<Upcall<P>>,
     stats: DhtStats,
 }
@@ -129,9 +160,9 @@ impl<P: Clone + WireSize> DhtNode<P> {
             fingers,
             next_finger: 0,
             store: SoftStateStore::new(),
-            pending_lookups: HashMap::new(),
+            pending_lookups: MulHashMap::default(),
             next_req_id: 1,
-            last_heard: HashMap::new(),
+            last_heard: MulHashMap::default(),
             upcalls: Vec::new(),
             stats: DhtStats::default(),
         }
@@ -646,7 +677,7 @@ impl<P: Clone + WireSize> DhtNode<P> {
         // pair.  Groups are kept in first-occurrence order (not HashMap
         // iteration order) so runs stay deterministic; the index map makes
         // the grouping O(n).
-        let mut index: HashMap<NodeAddr, usize> = HashMap::new();
+        let mut index: MulHashMap<NodeAddr, usize> = MulHashMap::default();
         let mut groups: Vec<(NodeAddr, Vec<RouteEnvelope<P>>)> = Vec::new();
         for envelope in envelopes {
             match self.next_hop(&envelope.target) {

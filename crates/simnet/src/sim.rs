@@ -15,7 +15,7 @@ use crate::node::{Action, Context, Node, NodeAddr, TimerId, WireSize};
 use crate::rng::DetRng;
 use crate::time::{Duration, SimTime};
 use crate::trace::{TraceEvent, TraceLog};
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 
 /// Static configuration of a simulation run.
@@ -59,29 +59,11 @@ enum EventKind<M> {
     NodeUp { node: NodeAddr },
 }
 
-struct Event<M> {
-    at: SimTime,
-    seq: u64,
-    kind: EventKind<M>,
-}
-
-impl<M> PartialEq for Event<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M> Eq for Event<M> {}
-impl<M> PartialOrd for Event<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Event<M> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; reverse so earliest event pops first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
+/// Heap key of a pending event: `(at, seq, slot)`.  `seq` is unique, so the
+/// order is exactly `(at, seq)` — earliest first, ties in push order — and
+/// `slot` (the event body's index in the slab) never decides it.  Keeping
+/// bodies out of the heap means every sift moves 24 bytes, not a message.
+type EventKey = Reverse<(SimTime, u64, u32)>;
 
 struct NodeSlot<N> {
     handler: N,
@@ -95,7 +77,13 @@ pub struct Simulation<N: Node> {
     config: SimConfig,
     factory: Box<dyn FnMut(NodeAddr) -> N>,
     nodes: Vec<NodeSlot<N>>,
-    queue: BinaryHeap<Event<N::Msg>>,
+    queue: BinaryHeap<EventKey>,
+    /// Event bodies, indexed by the `slot` of their heap key.
+    events: Vec<Option<EventKind<N::Msg>>>,
+    /// Slots of `events` free for reuse.
+    free_slots: Vec<u32>,
+    /// One action buffer, lent to every handler call and drained after it.
+    actions: Vec<Action<N::Msg>>,
     cancelled_timers: HashSet<u64>,
     partitions: PartitionSet,
     now: SimTime,
@@ -121,6 +109,9 @@ impl<N: Node> Simulation<N> {
             factory: Box::new(factory),
             nodes: Vec::new(),
             queue: BinaryHeap::new(),
+            events: Vec::new(),
+            free_slots: Vec::new(),
+            actions: Vec::new(),
             cancelled_timers: HashSet::new(),
             partitions: PartitionSet::none(),
             now: SimTime::ZERO,
@@ -228,7 +219,7 @@ impl<N: Node> Simulation<N> {
             addr,
             now,
             rng: &mut slot.rng,
-            actions: Vec::new(),
+            actions: std::mem::take(&mut self.actions),
             next_timer_id: &mut self.next_timer_id,
         };
         let out = f(&mut slot.handler, &mut ctx);
@@ -288,24 +279,22 @@ impl<N: Node> Simulation<N> {
     }
 
     /// Process events until the queue is empty or virtual time would exceed
-    /// `deadline`.  Returns the number of events processed.
+    /// `deadline`, then advance the clock to `deadline`.  If
+    /// `max_events_per_run` stops the loop first while events are still due
+    /// by `deadline`, the clock stays at the last event processed, so those
+    /// events later fire at their own time.  Returns the number of events
+    /// processed.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
+        let limit = match self.config.max_events_per_run {
+            0 => u64::MAX,
+            n => n,
+        };
         let mut processed = 0u64;
-        loop {
-            if self.config.max_events_per_run > 0 && processed >= self.config.max_events_per_run {
-                break;
-            }
-            let Some(head) = self.queue.peek() else { break };
-            if head.at > deadline {
-                break;
-            }
-            let ev = self.queue.pop().expect("peeked event must pop");
-            self.now = self.now.max(ev.at);
-            self.dispatch(ev);
+        while processed < limit && self.next_event_at().is_some_and(|at| at <= deadline) {
+            self.step();
             processed += 1;
         }
-        // Even if nothing was pending, time advances to the deadline.
-        if self.now < deadline {
+        if self.now < deadline && self.next_event_at().is_none_or(|at| at > deadline) {
             self.now = deadline;
         }
         processed
@@ -321,12 +310,8 @@ impl<N: Node> Simulation<N> {
     /// Useful for tests of protocols that quiesce.
     pub fn run_until_idle(&mut self, limit: u64) -> u64 {
         let mut processed = 0;
-        while processed < limit {
-            let Some(head) = self.queue.peek() else { break };
-            let at = head.at;
-            let ev = self.queue.pop().expect("peeked event must pop");
-            self.now = self.now.max(at);
-            self.dispatch(ev);
+        while processed < limit && self.next_event_at().is_some() {
+            self.step();
             processed += 1;
         }
         processed
@@ -337,14 +322,39 @@ impl<N: Node> Simulation<N> {
         self.queue.len()
     }
 
+    /// Virtual time of the earliest queued event.
+    fn next_event_at(&self) -> Option<SimTime> {
+        self.queue.peek().map(|Reverse((at, _, _))| *at)
+    }
+
     fn push_event(&mut self, at: SimTime, kind: EventKind<N::Msg>) {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Event { at, seq, kind });
+        let slot = match self.free_slots.pop() {
+            Some(slot) => {
+                self.events[slot as usize] = Some(kind);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.events.len()).expect("fewer than 2^32 queued events");
+                self.events.push(Some(kind));
+                slot
+            }
+        };
+        self.queue.push(Reverse((at, seq, slot)));
     }
 
-    fn dispatch(&mut self, ev: Event<N::Msg>) {
-        match ev.kind {
+    /// Pop the earliest event, advance the clock to it and dispatch it.
+    fn step(&mut self) {
+        let Some(Reverse((at, _, slot))) = self.queue.pop() else { return };
+        let kind = self.events[slot as usize].take().expect("queued slot holds its event");
+        self.free_slots.push(slot);
+        self.now = self.now.max(at);
+        self.dispatch(kind);
+    }
+
+    fn dispatch(&mut self, kind: EventKind<N::Msg>) {
+        match kind {
             EventKind::Deliver { from, to, msg, sent_at, bytes } => {
                 if !self.is_alive(to) {
                     self.metrics.on_drop_dead();
@@ -357,7 +367,7 @@ impl<N: Node> Simulation<N> {
                 self.run_handler(to, HandlerCall::Message { from, msg });
             }
             EventKind::Timer { node, id, token, incarnation } => {
-                if self.cancelled_timers.remove(&id.0) {
+                if !self.cancelled_timers.is_empty() && self.cancelled_timers.remove(&id.0) {
                     self.metrics.on_timer_cancelled();
                     return;
                 }
@@ -388,7 +398,7 @@ impl<N: Node> Simulation<N> {
             addr,
             now,
             rng: &mut slot.rng,
-            actions: Vec::new(),
+            actions: std::mem::take(&mut self.actions),
             next_timer_id: &mut self.next_timer_id,
         };
         match call {
@@ -401,8 +411,10 @@ impl<N: Node> Simulation<N> {
         self.apply_actions(addr, actions);
     }
 
-    fn apply_actions(&mut self, from: NodeAddr, actions: Vec<Action<N::Msg>>) {
-        for action in actions {
+    /// Apply the actions a handler requested, then keep the drained buffer
+    /// for the next handler call.
+    fn apply_actions(&mut self, from: NodeAddr, mut actions: Vec<Action<N::Msg>>) {
+        for action in actions.drain(..) {
             match action {
                 Action::Send { to, msg } => {
                     let bytes = msg.wire_size();
@@ -431,6 +443,7 @@ impl<N: Node> Simulation<N> {
                 }
             }
         }
+        self.actions = actions;
     }
 }
 
@@ -444,6 +457,8 @@ enum HandlerCall<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     #[derive(Clone, Debug)]
     enum Msg {
@@ -494,11 +509,17 @@ mod tests {
     }
 
     fn ping_sim(n: usize, seed: u64) -> Simulation<PingNode> {
+        ping_sim_capped(n, seed, 0)
+    }
+
+    /// [`ping_sim`] with `max_events_per_run` set to `cap`.
+    fn ping_sim_capped(n: usize, seed: u64, cap: u64) -> Simulation<PingNode> {
         let peers = n as u32;
         let mut sim = Simulation::new(
             SimConfig {
                 seed,
                 latency: LatencyModel::Constant(Duration::from_millis(10)),
+                max_events_per_run: cap,
                 ..Default::default()
             },
             move |_addr| PingNode { peers, pings_received: 0, pongs_received: 0, ticks: 0 },
@@ -663,6 +684,175 @@ mod tests {
         sim.run_until(SimTime::from_secs(5));
         assert_eq!(sim.now(), SimTime::from_secs(5));
         assert_eq!(sim.pending_events(), 0);
+    }
+
+    #[test]
+    fn event_cap_leaves_the_clock_at_the_last_event() {
+        // Both nodes tick first at 100 ms; a cap of one event per run stops
+        // after the first tick, with the second still due.
+        let mut sim = ping_sim_capped(2, 14, 1);
+        let deadline = SimTime::from_secs(1);
+        assert_eq!(sim.run_until(deadline), 1);
+        assert_eq!(sim.now(), SimTime::from_millis(100));
+        // Capped runs resume where they stopped, so every event still fires at
+        // its own time: each delivery takes exactly the model's 10 ms.
+        let mut runs = 1;
+        while sim.run_until(deadline) == 1 {
+            runs += 1;
+        }
+        let latency = sim.metrics().delivery_latency().unwrap();
+        assert!(latency.count() > 0);
+        assert_eq!(latency.max(), 10_000);
+        assert_eq!(sim.metrics().timers_fired(), 2 * 10);
+        assert!(runs > 40, "runs {runs}");
+        // Once nothing is due by the deadline, the clock advances to it.
+        assert_eq!(sim.now(), deadline);
+    }
+
+    /// One event a [`Recorder`] pushed: where and when it is due, and whether
+    /// it must fire.
+    struct Pushed {
+        at: SimTime,
+        to: NodeAddr,
+        /// For a timer, the incarnation of the node that set it.
+        timer_of: Option<u64>,
+        cancelled: bool,
+    }
+
+    /// Everything the recorders of one simulation pushed and saw fire.  An
+    /// event's tag is its index in `pushed`, so tag order is push order.
+    #[derive(Default)]
+    struct Log {
+        pushed: Vec<Pushed>,
+        fired: Vec<u64>,
+        starts: Vec<u64>,
+    }
+
+    /// A node that logs every send and timer it requests, and every message
+    /// and timer handed to it, in a log shared by all nodes.
+    struct Recorder {
+        log: Rc<RefCell<Log>>,
+        peers: u32,
+        incarnation: u64,
+    }
+
+    impl Recorder {
+        fn send(&self, ctx: &mut Context<u64>, to: NodeAddr) {
+            let mut log = self.log.borrow_mut();
+            let tag = log.pushed.len() as u64;
+            let at = ctx.now() + Duration::from_millis(10);
+            log.pushed.push(Pushed { at, to, timer_of: None, cancelled: false });
+            ctx.send(to, tag);
+        }
+
+        fn timer(&self, ctx: &mut Context<u64>, delay_ms: u64, cancel: bool) {
+            let mut log = self.log.borrow_mut();
+            let tag = log.pushed.len() as u64;
+            let at = ctx.now() + Duration::from_millis(delay_ms);
+            let to = ctx.addr();
+            log.pushed.push(Pushed { at, to, timer_of: Some(self.incarnation), cancelled: cancel });
+            let id = ctx.set_timer(Duration::from_millis(delay_ms), tag);
+            if cancel {
+                ctx.cancel_timer(id);
+            }
+        }
+    }
+
+    impl Node for Recorder {
+        type Msg = u64;
+
+        fn on_start(&mut self, ctx: &mut Context<u64>) {
+            self.timer(ctx, 10, false);
+            self.timer(ctx, 10, true);
+            self.timer(ctx, 20, false);
+        }
+
+        fn on_message(&mut self, ctx: &mut Context<u64>, from: NodeAddr, tag: u64) {
+            self.log.borrow_mut().fired.push(tag);
+            if tag.is_multiple_of(5) {
+                self.send(ctx, from);
+            }
+        }
+
+        fn on_timer(&mut self, ctx: &mut Context<u64>, tag: u64) {
+            self.log.borrow_mut().fired.push(tag);
+            let me = ctx.addr();
+            for peer in (0..self.peers).map(NodeAddr).filter(|&p| p != me) {
+                self.send(ctx, peer);
+            }
+            // Cancel a timer due at the same time as a surviving one, so its
+            // slot is freed and reused while same-time events are queued.
+            let delay_ms = 10 + 10 * (tag % 3);
+            self.timer(ctx, delay_ms, false);
+            if tag.is_multiple_of(2) {
+                self.timer(ctx, delay_ms, true);
+            }
+        }
+    }
+
+    #[test]
+    fn pop_order_is_at_then_push_order_across_slot_reuse() {
+        let log = Rc::new(RefCell::new(Log::default()));
+        let factory_log = Rc::clone(&log);
+        let mut sim = Simulation::new(
+            SimConfig {
+                seed: 15,
+                latency: LatencyModel::Constant(Duration::from_millis(10)),
+                ..Default::default()
+            },
+            move |addr: NodeAddr| {
+                let mut l = factory_log.borrow_mut();
+                if l.starts.len() <= addr.index() {
+                    l.starts.resize(addr.index() + 1, 0);
+                }
+                l.starts[addr.index()] += 1;
+                let incarnation = l.starts[addr.index()] - 1;
+                Recorder { log: Rc::clone(&factory_log), peers: 3, incarnation }
+            },
+        );
+        // Node 1 is down from 505 ms to 512 ms and restarts as incarnation 1
+        // while timers of incarnation 0 are still queued; both changes are
+        // queued events, interleaved with the traffic.
+        let (down, up) = (SimTime::from_millis(505), SimTime::from_millis(512));
+        sim.schedule_kill(down, NodeAddr(1));
+        sim.schedule_restart(up, NodeAddr(1));
+        sim.add_nodes(3);
+        sim.run_until(SimTime::from_millis(1_500));
+
+        let log = log.borrow();
+        let (events, fired) = (&log.pushed, &log.fired);
+        let deadline = SimTime::from_millis(1_500);
+        let alive = |to: NodeAddr, at: SimTime| to != NodeAddr(1) || at < down || at > up;
+        let incarnation_at = |to: NodeAddr, at: SimTime| u64::from(to == NodeAddr(1) && at > up);
+        let mut expected: Vec<(SimTime, u64)> = events
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| e.at <= deadline && !e.cancelled && alive(e.to, e.at))
+            .filter(|(_, e)| e.timer_of.is_none_or(|inc| inc == incarnation_at(e.to, e.at)))
+            .map(|(tag, e)| (e.at, tag as u64))
+            .collect();
+        expected.sort();
+        let expected: Vec<u64> = expected.into_iter().map(|(_, tag)| tag).collect();
+        let first_difference = fired.iter().zip(&expected).position(|(f, e)| f != e);
+        assert_eq!((first_difference, fired.len()), (None, expected.len()), "pop order");
+
+        // The run exercised what it claims to: same-time events, cancelled
+        // and stale timers, and drops to the dead node.
+        assert!(fired.len() > 300, "fired {}", fired.len());
+        let cancelled = events.iter().filter(|e| e.cancelled && e.at <= deadline).count() as u64;
+        assert_eq!(sim.metrics().timers_cancelled(), cancelled);
+        assert!(cancelled > 20);
+        let stale = events
+            .iter()
+            .filter(|e| e.timer_of == Some(0) && e.to == NodeAddr(1) && e.at > up && !e.cancelled)
+            .count();
+        assert!(stale > 0);
+        assert!(sim.metrics().messages_dropped_dead() > 0);
+        let ties =
+            expected.windows(2).filter(|w| events[w[0] as usize].at == events[w[1] as usize].at);
+        assert!(ties.count() > 100);
+        // Slots were recycled: the slab never grew to the number of events.
+        assert!(sim.events.len() * 4 < events.len(), "slab {}", sim.events.len());
     }
 
     #[test]
