@@ -1,14 +1,11 @@
-//! PIER's dataflow layer: local relational operators and the generic
-//! "boxes and arrows" graph executor (trees, DAGs, and cyclic/recursive
-//! graphs).
+//! PIER's dataflow layer: the local relational operators the engine runs
+//! for every plan.  The algebraic interface is
+//! [`PierNode::submit`](crate::engine::PierNode::submit), which takes a
+//! [`QueryKind`](crate::query::QueryKind) directly.
 
-pub mod graph;
 pub mod join;
 pub mod ops;
 
-pub use graph::{
-    AggregateBox, DataflowOp, DedupBox, FilterBox, HashJoinBox, OpGraph, OpId, ProjectBox, UnionBox,
-};
 pub use ops::{
     compare_on, sort_tuples, Distinct, FilterOp, GroupAggregator, GroupKey, Limit, ProjectOp, TopK,
 };

@@ -40,7 +40,8 @@ use crate::tuple::Tuple;
 use crate::value::Value;
 use pier_dht::{timers as dht_timers, DhtConfig, DhtMsg, DhtNode, ResourceKey, Upcall};
 use pier_simnet::{Context, Duration, Node, NodeAddr, SimTime};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::rc::Rc;
 
@@ -68,8 +69,9 @@ enum DirectStream {
     Gossip,
 }
 
-/// How many stopped queries' execution traces a node retains for late
-/// `EXPLAIN ANALYZE` trace requests.
+/// How many stopped queries a node remembers: their execution traces answer
+/// late `EXPLAIN ANALYZE` trace requests, and operator input still in flight
+/// for them is dropped instead of buffered.
 pub const MAX_FINISHED_TRACES: usize = 256;
 
 type Ctx<'a> = Context<'a, PierMsg>;
@@ -94,17 +96,6 @@ impl fmt::Display for PierError {
 }
 
 impl std::error::Error for PierError {}
-
-/// How partial aggregates travel to the point of finalization.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AggregationMode {
-    /// In-network: partials climb the DHT routing path toward the node
-    /// responsible for the query's aggregation key, combining at every hop.
-    Hierarchical,
-    /// Baseline: every node ships its partial state directly to the query
-    /// origin, which performs the entire merge (no in-network combining).
-    Direct,
-}
 
 /// What the aggregation root of a windowed continuous query does with
 /// partials that arrive for an epoch whose window(s) it has already closed
@@ -185,8 +176,6 @@ pub struct PierConfig {
     /// `RouteBatch`).  Single-query traffic is unaffected — frames merge
     /// only across ≥ 2 concurrent streams.
     pub piggyback: bool,
-    /// Aggregation routing mode.
-    pub aggregation: AggregationMode,
     /// Coalesce hot wire paths into batch messages (`TupleBatch`,
     /// `JoinBatch`, `ResultBatch`, and DHT-level `RouteBatch`es).  `false`
     /// reproduces the original one-message-per-tuple behaviour; benchmarks
@@ -290,7 +279,6 @@ impl Default for PierConfig {
             inner_bloom: true,
             bloom_fallback_delay: Duration::from_millis(8_000),
             piggyback: true,
-            aggregation: AggregationMode::Hierarchical,
             batching: true,
             batch_max: 512,
             batch_flush_ticks: 0,
@@ -324,7 +312,6 @@ impl PierConfig {
             inner_bloom: true,
             bloom_fallback_delay: Duration::from_millis(3_000),
             piggyback: true,
-            aggregation: AggregationMode::Hierarchical,
             batching: true,
             batch_max: 512,
             batch_flush_ticks: 0,
@@ -356,7 +343,6 @@ impl PierConfig {
             inner_bloom: true,
             bloom_fallback_delay: Duration::from_millis(10_000),
             piggyback: true,
-            aggregation: AggregationMode::Hierarchical,
             batching: true,
             batch_max: 512,
             batch_flush_ticks: 0,
@@ -454,6 +440,17 @@ pub struct EngineStats {
     /// Alert tuples published into a query's `pier:alert:<id>` namespace
     /// (windowed aggregates with a `HAVING` trigger).
     pub alerts_emitted: u64,
+    /// Per-(query, epoch) states freed at epoch boundaries once their epoch
+    /// was a retirement horizon old with no engine timer outstanding.
+    pub epochs_retired: u64,
+    /// Arrivals (join tuples, probe answers, partials, Bloom filters) for an
+    /// already-retired epoch, counted and dropped.
+    pub late_epoch_dropped: u64,
+    /// Operator input that arrived for a query already stopped at this
+    /// node, dropped instead of buffered for a plan that never comes.
+    pub stopped_query_dropped: u64,
+    /// Gauge, not a counter: per-(query, epoch) states currently held.
+    pub live_epoch_states: u64,
 }
 
 impl EngineStats {
@@ -488,6 +485,10 @@ impl EngineStats {
         self.window_late_dropped += other.window_late_dropped;
         self.window_late_patched += other.window_late_patched;
         self.alerts_emitted += other.alerts_emitted;
+        self.epochs_retired += other.epochs_retired;
+        self.late_epoch_dropped += other.late_epoch_dropped;
+        self.stopped_query_dropped += other.stopped_query_dropped;
+        self.live_epoch_states += other.live_epoch_states;
     }
 }
 
@@ -515,69 +516,33 @@ enum TimerPurpose {
     BatchFlush,
 }
 
+impl TimerPurpose {
+    /// The (query, epoch) whose state the timer will touch when it fires.
+    fn epoch_scope(&self) -> Option<(QueryId, u64)> {
+        match *self {
+            TimerPurpose::Holddown(id, epoch) | TimerPurpose::RootFinalize(id, epoch) => {
+                Some((id, epoch))
+            }
+            TimerPurpose::BloomPhase2(id, _, epoch)
+            | TimerPurpose::InnerBloomSummary(id, _, epoch)
+            | TimerPurpose::BloomFallback(id, _, epoch) => Some((id, epoch)),
+            TimerPurpose::Epoch(_) | TimerPurpose::StatsGossip | TimerPurpose::BatchFlush => None,
+        }
+    }
+}
+
 /// Execution state of one query at one node.
 struct RunningQuery {
     spec: QuerySpec,
     epoch: u64,
-    epoch_started_at: SimTime,
-    /// Partials waiting for the hold-down timer, per epoch.
-    pending: HashMap<u64, GroupAggregator>,
-    pending_contrib: HashMap<u64, u64>,
-    holddown_armed: HashSet<u64>,
-    /// Root-side accumulation, per epoch.
-    root_acc: HashMap<u64, GroupAggregator>,
-    root_contrib: HashMap<u64, u64>,
-    finalize_armed: HashSet<u64>,
-    /// Epochs this node has already finalized as the aggregation root; late
-    /// partials for them are discarded rather than double-reported.
-    finalized: HashSet<u64>,
-    /// Windowed aggregates, root side: per-window merged group states (each
-    /// finalized epoch's accumulator folded into every window covering it).
-    window_acc: HashMap<u64, GroupAggregator>,
-    /// Max per-epoch contributor count folded into each window ("responding
-    /// nodes" over the window).
-    window_contrib: HashMap<u64, u64>,
-    /// Highest epoch this root has finalized — the window-close watermark.
-    window_watermark: Option<u64>,
-    /// Windows already closed and reported.  Under
-    /// [`WindowLatePolicy::Patch`] late data re-opens them transiently (the
-    /// corrected window is re-emitted); under `Drop` it is discarded.
-    windows_closed: HashSet<u64>,
-    /// Last time a partial arrived at the root, per epoch (quiescence check).
-    root_last_update: HashMap<u64, SimTime>,
-    /// How many times finalization has been postponed, per epoch.
-    root_extensions: HashMap<u64, u32>,
-    /// Join site hash tables: (stage, epoch, key) -> tuples.
-    join_left: HashMap<(u8, u64, Value), Vec<Tuple>>,
-    join_right: HashMap<(u8, u64, Value), Vec<Tuple>>,
-    /// Vectorized join state per (stage, epoch): columnar build sides with a
-    /// typed key-vector hash index, replacing `join_left` / `join_right`
-    /// when `PierConfig::vectorized` is on.
-    vec_join: HashMap<(u8, u64), JoinBuild>,
-    /// Origin-side Bloom collection per (stage, epoch).
-    blooms: HashMap<(u8, u64), BloomFilter>,
-    bloom_armed: HashSet<(u8, u64)>,
-    /// Origin-side: the last combined filter broadcast per inner (stage,
-    /// epoch), so a supplementary summary that adds nothing new (already
-    /// covered bits) does not trigger a redundant re-broadcast.
-    bloom_sent: HashMap<(u8, u64), (Vec<u64>, u8)>,
-    /// Combined filter received (Bloom join phase 2), per (stage, epoch).
-    combined_bloom: HashMap<(u8, u64), BloomFilter>,
-    /// Join-site summaries of intermediate keys for inner-stage Bloom
-    /// semi-joins, per (stage, epoch).
-    inner_summaries: HashMap<(u8, u64), InnerSummary>,
-    /// Inner (stage, epoch) pairs whose right relation this node has already
-    /// rehashed — filtered through a combined filter or via the hold-down
-    /// fallback, whichever fired first.
-    bloom_phase2_done: HashSet<(u8, u64)>,
-    /// Scan-site rows pruned by an inner-stage combined filter, retained so
-    /// a refreshed filter (late intermediate keys reopen the handshake) can
-    /// re-test and ship them.  Dropped with the query's soft state.
-    held_rows: HashMap<(u8, u64), Vec<Tuple>>,
-    /// Epochs for which this node already counted itself as an aggregation
-    /// contributor (aggregates over joins produce partials incrementally as
-    /// matches arrive, so the first batch of an epoch counts the node).
-    agg_contributed: HashSet<u64>,
+    /// Everything this node keeps per epoch, created on first touch and
+    /// dropped only by [`PierNode::retire`].
+    epochs: BTreeMap<u64, EpochState>,
+    /// Epochs below this are retired: their state is gone, and arrivals for
+    /// them are counted and dropped (at the root they count as finalized).
+    retired_below: u64,
+    /// Windowed aggregates, root side (created by the first window touch).
+    window: Option<Box<WindowState>>,
     /// Recursive queries: vertices already expanded at this node.
     visited: HashSet<String>,
     /// Producer-side per-operator counters (`EXPLAIN ANALYZE`).
@@ -600,6 +565,117 @@ struct RunningQuery {
     /// with, overlaid on the catalog by any later catalog-driven re-plan so
     /// a statistics gossip round cannot silently undo the trace correction.
     observed: Option<crate::planner::ObservedStats>,
+}
+
+/// One query's state for one epoch at one node: the aggregation plane's
+/// buffers and root bookkeeping plus every join stage's state.
+#[derive(Default)]
+struct EpochState {
+    /// Partials waiting for the hold-down timer (non-root).  The two
+    /// accumulators are boxed: each lives only until its epoch forwards or
+    /// finalizes, and the map keeps every state inline.
+    pending: Option<Box<GroupAggregator>>,
+    pending_contrib: u64,
+    holddown_armed: bool,
+    /// Root-side accumulation.
+    root_acc: Option<Box<GroupAggregator>>,
+    root_contrib: u64,
+    finalize_armed: bool,
+    /// Already finalized as the aggregation root; late partials are
+    /// discarded rather than double-reported.
+    finalized: bool,
+    /// Last time a partial arrived at the root (quiescence check).
+    root_last_update: Option<SimTime>,
+    /// How many times finalization has been postponed.
+    root_extensions: u32,
+    /// This node already counted itself as an aggregation contributor
+    /// (aggregates over joins produce partials incrementally as matches
+    /// arrive, so the first batch of an epoch counts the node).
+    agg_contributed: bool,
+    /// Per join stage, indexed by stage number.
+    stages: Vec<StageState>,
+    /// Engine timers armed for this epoch that have not fired yet; the
+    /// state is never retired while one is outstanding.
+    timers: u32,
+}
+
+impl EpochState {
+    fn stage(&mut self, stage: u8) -> &mut StageState {
+        let k = stage as usize;
+        if self.stages.len() <= k {
+            self.stages.resize_with(k + 1, StageState::default);
+        }
+        &mut self.stages[k]
+    }
+}
+
+/// One join stage's state within one epoch.
+#[derive(Default)]
+struct StageState {
+    /// Scalar reference path: join-site hash tables (0 = left, 1 = right),
+    /// key -> tuples.
+    scalar: [HashMap<Value, Vec<Tuple>>; 2],
+    /// Vectorized path: columnar build sides with a typed key-vector hash
+    /// index, replacing `scalar` when `PierConfig::vectorized` is on.
+    build: JoinBuild,
+    /// Origin side: union of the per-node Bloom summaries received so far.
+    bloom: Option<BloomFilter>,
+    bloom_armed: bool,
+    /// Origin side: the last combined filter broadcast for an inner stage,
+    /// so a supplementary summary that adds no new bits does not trigger a
+    /// redundant re-broadcast.
+    bloom_sent: Option<(Vec<u64>, u8)>,
+    /// Combined filter received (stage-0 Bloom join phase 2).
+    combined_bloom: Option<BloomFilter>,
+    /// Join-site summary of intermediate keys (inner-stage Bloom semi-join).
+    inner_summary: Option<InnerSummary>,
+    /// This node already rehashed the stage's right relation — filtered
+    /// through a combined filter or via the hold-down fallback, whichever
+    /// fired first.
+    phase2_done: bool,
+    /// Scan-site rows pruned by an inner-stage combined filter, kept so a
+    /// refreshed filter (late intermediate keys reopen the handshake) can
+    /// re-test and ship them.
+    held_rows: Vec<Tuple>,
+}
+
+/// Windowed aggregates, root side.
+#[derive(Default)]
+struct WindowState {
+    /// Per-window merged group states (each finalized epoch's accumulator
+    /// folded into every window covering it).
+    acc: HashMap<u64, GroupAggregator>,
+    /// Max per-epoch contributor count folded into each window ("responding
+    /// nodes" over the window).
+    contrib: HashMap<u64, u64>,
+    /// Highest epoch this root has finalized — the window-close watermark.
+    watermark: Option<u64>,
+    /// Windows at or above `closed_below` already closed and reported.
+    /// Under [`WindowLatePolicy::Patch`] late data re-opens them transiently
+    /// (the corrected window is re-emitted); under `Drop` it is discarded.
+    closed: BTreeSet<u64>,
+    /// Every window below this counts as closed, its state retired.
+    closed_below: u64,
+}
+
+impl WindowState {
+    fn is_closed(&self, w: u64) -> bool {
+        w < self.closed_below || self.closed.contains(&w)
+    }
+
+    /// Forget closed windows more than [`WINDOW_PATCH_RETAIN`] slides
+    /// behind the newest close: late data for them is dropped either way.
+    fn retire(&mut self) {
+        let Some(&newest) = self.closed.last() else { return };
+        let below = newest.saturating_sub(WINDOW_PATCH_RETAIN);
+        if below <= self.closed_below {
+            return;
+        }
+        self.closed_below = below;
+        self.closed = self.closed.split_off(&below);
+        self.acc.retain(|&w, _| w >= below);
+        self.contrib.retain(|&w, _| w >= below);
+    }
 }
 
 /// The vectorized pipeline for one query: every `Expr` the per-epoch hot
@@ -674,35 +750,13 @@ impl CompiledKernels {
 }
 
 impl RunningQuery {
-    fn new(spec: QuerySpec, now: SimTime) -> Self {
+    fn new(spec: QuerySpec) -> Self {
         RunningQuery {
             spec,
             epoch: 0,
-            epoch_started_at: now,
-            pending: HashMap::new(),
-            pending_contrib: HashMap::new(),
-            holddown_armed: HashSet::new(),
-            root_acc: HashMap::new(),
-            root_contrib: HashMap::new(),
-            finalize_armed: HashSet::new(),
-            finalized: HashSet::new(),
-            window_acc: HashMap::new(),
-            window_contrib: HashMap::new(),
-            window_watermark: None,
-            windows_closed: HashSet::new(),
-            root_last_update: HashMap::new(),
-            root_extensions: HashMap::new(),
-            join_left: HashMap::new(),
-            join_right: HashMap::new(),
-            vec_join: HashMap::new(),
-            blooms: HashMap::new(),
-            bloom_armed: HashSet::new(),
-            bloom_sent: HashMap::new(),
-            combined_bloom: HashMap::new(),
-            inner_summaries: HashMap::new(),
-            bloom_phase2_done: HashSet::new(),
-            held_rows: HashMap::new(),
-            agg_contributed: HashSet::new(),
+            epochs: BTreeMap::new(),
+            retired_below: 0,
+            window: None,
             visited: HashSet::new(),
             trace: OpTrace::default(),
             pending_spec: None,
@@ -711,6 +765,19 @@ impl RunningQuery {
             feedback_settled: false,
             observed: None,
         }
+    }
+
+    /// The live state of `epoch`, created on first touch; `None` once the
+    /// epoch is retired.
+    fn epoch_mut(&mut self, epoch: u64) -> Option<&mut EpochState> {
+        if epoch < self.retired_below {
+            return None;
+        }
+        Some(self.epochs.entry(epoch).or_default())
+    }
+
+    fn window_mut(&mut self) -> &mut WindowState {
+        self.window.get_or_insert_with(Box::default)
     }
 }
 
@@ -881,12 +948,12 @@ pub struct PierNode {
     /// Origin-side trace collection (`EXPLAIN ANALYZE`): number of nodes
     /// that reported plus the merged network-wide trace, per query.
     trace_acc: HashMap<QueryId, (u64, OpTrace)>,
-    /// Traces of queries that were stopped, kept so a later `TraceRequest`
-    /// can still be answered.  Bounded FIFO ([`MAX_FINISHED_TRACES`]) so a
-    /// long-lived node running many short queries does not grow without
-    /// bound.
-    finished_traces: HashMap<QueryId, OpTrace>,
-    finished_trace_order: std::collections::VecDeque<QueryId>,
+    /// Queries that were stopped, with the trace of those this node ran,
+    /// kept so a later `TraceRequest` can still be answered and stragglers
+    /// are dropped.  Bounded FIFO ([`MAX_FINISHED_TRACES`]) so a long-lived
+    /// node running many short queries does not grow without bound.
+    stopped: HashMap<QueryId, Option<OpTrace>>,
+    stopped_order: std::collections::VecDeque<QueryId>,
     /// SQL text and the catalog version it was last planned at, for
     /// continuous queries this node originated (mid-flight re-planning).
     origin_sql: HashMap<QueryId, (String, u64)>,
@@ -931,8 +998,8 @@ impl PierNode {
             flush_timer_armed: false,
             plan_cache: PlanCache::new(),
             trace_acc: HashMap::new(),
-            finished_traces: HashMap::new(),
-            finished_trace_order: std::collections::VecDeque::new(),
+            stopped: HashMap::new(),
+            stopped_order: std::collections::VecDeque::new(),
             origin_sql: HashMap::new(),
             gossip: GossipView::new(),
             gossip_seq: 0,
@@ -960,6 +1027,7 @@ impl PierNode {
         let mut stats = self.stats;
         stats.plan_cache_hits = self.plan_cache.hits();
         stats.plan_cache_misses = self.plan_cache.misses();
+        stats.live_epoch_states = self.queries.values().map(|q| q.epochs.len() as u64).sum();
         stats
     }
 
@@ -1028,7 +1096,7 @@ impl PierNode {
     /// This node's producer-side execution trace for a query, live or
     /// finished (used by tests and the trace-collection protocol).
     pub fn query_trace(&self, id: QueryId) -> Option<&OpTrace> {
-        self.queries.get(&id).map(|q| &q.trace).or_else(|| self.finished_traces.get(&id))
+        self.queries.get(&id).map(|q| &q.trace).or_else(|| self.stopped.get(&id)?.as_ref())
     }
 
     /// Origin-side `EXPLAIN ANALYZE` collection state: how many nodes have
@@ -1051,6 +1119,23 @@ impl PierNode {
     /// Number of queries currently installed at this node.
     pub fn active_queries(&self) -> usize {
         self.queries.len()
+    }
+
+    /// Join-site build rows (both sides, every stage and live epoch) this
+    /// node holds across all its queries.
+    pub fn join_build_rows(&self) -> u64 {
+        let stages = self.queries.values().flat_map(|q| q.epochs.values()).flat_map(|s| &s.stages);
+        stages
+            .map(|st| {
+                let scalar: usize = st.scalar.iter().flat_map(|t| t.values()).map(Vec::len).sum();
+                (scalar + st.build.stored_rows(0) + st.build.stored_rows(1)) as u64
+            })
+            .sum()
+    }
+
+    /// Operator input held for queries whose plan has not reached this node.
+    pub fn buffered_early_arrivals(&self) -> usize {
+        self.early_arrivals.values().map(Vec::len).sum()
     }
 
     /// Register a table definition in the local catalog.  Every node that
@@ -1326,10 +1411,66 @@ impl PierNode {
     // ------------------------------------------------------------------
 
     fn arm_timer(&mut self, ctx: &mut Ctx<'_>, delay: Duration, purpose: TimerPurpose) {
+        if let Some((id, epoch)) = purpose.epoch_scope() {
+            if let Some(state) = self.queries.get_mut(&id).and_then(|q| q.epoch_mut(epoch)) {
+                state.timers += 1;
+            }
+        }
         let token = self.next_token;
         self.next_token += 1;
         self.timer_purposes.insert(token, purpose);
         ctx.set_timer(delay, token);
+    }
+
+    // ------------------------------------------------------------------
+    // Epoch-state lifecycle
+    // ------------------------------------------------------------------
+
+    /// How long after its end an epoch can still see legitimate activity:
+    /// the root's collect delay plus its four 3×hold-down postponements,
+    /// plus the inner-stage Bloom fallback deadline.
+    fn retire_horizon(&self) -> Duration {
+        let c = &self.config;
+        c.collect_delay + c.holddown.saturating_mul(12) + c.bloom_fallback_delay
+    }
+
+    /// The one place epoch state is freed, run at each epoch boundary:
+    /// drop, oldest first, every epoch that ended a retirement horizon ago
+    /// and has no engine timer outstanding.  Stops at the first epoch that
+    /// must stay, so the retired epochs are always a prefix.
+    fn retire(&mut self, id: QueryId, now: SimTime) {
+        let horizon = self.retire_horizon();
+        let Some(q) = self.queries.get_mut(&id) else { return };
+        let Some(c) = q.spec.continuous else { return };
+        // Epoch e ends at (e + 1) · period.
+        let cutoff =
+            now.as_micros().saturating_sub(horizon.as_micros()) / c.period.as_micros().max(1);
+        let mut retired = 0;
+        while let Some(entry) = q.epochs.first_entry() {
+            if *entry.key() >= cutoff || entry.get().timers > 0 {
+                break;
+            }
+            entry.remove();
+            retired += 1;
+        }
+        let blocked = q.epochs.first_key_value().map_or(cutoff, |(&e, _)| e.min(cutoff));
+        q.retired_below = q.retired_below.max(blocked);
+        if let Some(win) = q.window.as_mut() {
+            win.retire();
+        }
+        q.trace.epochs_retired += retired;
+        self.stats.epochs_retired += retired;
+    }
+
+    /// Count and drop an arrival for a retired epoch of an installed query.
+    fn drop_if_retired(&mut self, id: QueryId, epoch: u64) -> bool {
+        let Some(q) = self.queries.get_mut(&id) else { return false };
+        if epoch >= q.retired_below {
+            return false;
+        }
+        q.trace.late_epoch_dropped += 1;
+        self.stats.late_epoch_dropped += 1;
+        true
     }
 
     // ------------------------------------------------------------------
@@ -1377,24 +1518,39 @@ impl PierNode {
                 // breaking reconciliation.  Per-query, so co-resident
                 // queries' deferral windows stay intact.
                 self.flush_query(ctx, id);
-                if let Some(q) = self.queries.remove(&id) {
-                    if self.finished_traces.insert(id, q.trace).is_none() {
-                        self.finished_trace_order.push_back(id);
-                        while self.finished_trace_order.len() > MAX_FINISHED_TRACES {
-                            if let Some(oldest) = self.finished_trace_order.pop_front() {
-                                self.finished_traces.remove(&oldest);
+                let trace = self.queries.remove(&id).map(|q| q.trace);
+                match self.stopped.entry(id) {
+                    Entry::Occupied(mut e) => {
+                        if trace.is_some() {
+                            e.insert(trace);
+                        }
+                    }
+                    Entry::Vacant(e) => {
+                        e.insert(trace);
+                        self.stopped_order.push_back(id);
+                        if self.stopped_order.len() > MAX_FINISHED_TRACES {
+                            if let Some(oldest) = self.stopped_order.pop_front() {
+                                self.stopped.remove(&oldest);
                             }
                         }
                     }
                 }
+                // Input buffered for a plan that never arrived here will
+                // never be replayed now.
+                self.early_arrivals.remove(&id);
                 self.origin_sql.remove(&id);
             }
             PierPayload::TraceRequest { query } => self.answer_trace_request(ctx, query),
             PierPayload::Bloom { query, stage, epoch, bits, k, combined: true } => {
+                if self.drop_if_retired(query, epoch) {
+                    return;
+                }
                 let filter = BloomFilter::from_words(bits, k);
                 if stage == 0 {
-                    if let Some(q) = self.queries.get_mut(&query) {
-                        q.combined_bloom.insert((0, epoch), filter);
+                    if let Some(state) =
+                        self.queries.get_mut(&query).and_then(|q| q.epoch_mut(epoch))
+                    {
+                        state.stage(0).combined_bloom = Some(filter);
                     }
                     self.run_bloom_phase2(ctx, query, epoch);
                 } else {
@@ -1417,6 +1573,12 @@ impl PierNode {
         };
         if let Some(id) = query_of {
             if !self.queries.contains_key(&id) {
+                if self.stopped.contains_key(&id) {
+                    // A straggler of a stopped query (a rehash in flight
+                    // when the stop arrived): its plan is never coming.
+                    self.stats.stopped_query_dropped += 1;
+                    return;
+                }
                 let buf = self.early_arrivals.entry(id).or_default();
                 if buf.len() < 100_000 {
                     buf.push(payload);
@@ -1538,7 +1700,7 @@ impl PierNode {
         let continuous = spec.continuous;
         let is_recursive_origin =
             matches!(spec.kind, QueryKind::Recursive { .. }) && spec.origin() == self.addr;
-        self.queries.insert(id, RunningQuery::new(spec, ctx.now()));
+        self.queries.insert(id, RunningQuery::new(spec));
 
         // Replay operator input that arrived before the plan did.
         if let Some(buffered) = self.early_arrivals.remove(&id) {
@@ -1810,11 +1972,7 @@ impl PierNode {
                 if spec.origin() == self.addr {
                     if let Some(agg) = spec.kind.join_aggregate() {
                         if agg.hierarchical {
-                            let contributors = self
-                                .queries
-                                .get_mut(&id)
-                                .map(|q| u64::from(q.agg_contributed.insert(epoch)))
-                                .unwrap_or(0);
+                            let contributors = self.first_contribution(id, epoch);
                             self.absorb_partials(ctx, id, epoch, Vec::new(), contributors, false);
                         }
                     }
@@ -2259,24 +2417,24 @@ impl PierNode {
                 q.trace.partials_merged += 1;
             }
         }
-        let is_root = match self.config.aggregation {
-            AggregationMode::Direct => {
-                let origin = self.queries[&id].spec.origin();
-                origin == self.addr
-            }
-            AggregationMode::Hierarchical => {
-                self.dht.route_next_hop(&Self::agg_root_id(id)).is_none()
-            }
-        } || self.queries[&id]
-            .spec
-            .kind
-            .join_aggregate()
-            .is_some_and(|a| a.hierarchical && a.colocated);
         // Colocated join aggregation: the grouping column *is* the final
         // stage's join key, so the DHT already partitioned each group wholly
         // onto one join site.  Every site acts as the aggregation root for
         // its own groups — finalizing in place and skipping the partial
         // climb entirely (aggregate-aware stage keys).
+        let is_root = self.dht.route_next_hop(&Self::agg_root_id(id)).is_none()
+            || self.queries[&id]
+                .spec
+                .kind
+                .join_aggregate()
+                .is_some_and(|a| a.hierarchical && a.colocated);
+
+        // Partials for a retired epoch are dropped, except at a windowed
+        // root: there the late-data policy decides per covering window.
+        let windowed = self.queries[&id].spec.kind.window_spec().is_some();
+        if !(is_root && windowed) && self.drop_if_retired(id, epoch) {
+            return;
+        }
 
         let Some((group_exprs, aggs)) =
             self.queries[&id].spec.kind.partial_agg_parts().map(|(g, a)| (g.to_vec(), a.to_vec()))
@@ -2284,14 +2442,13 @@ impl PierNode {
             return;
         };
 
-        let mode = self.config.aggregation;
         let mut arm_finalize = false;
         let mut arm_holddown = false;
-        let mut forward_now = false;
         let mut reemit: Vec<u64> = Vec::new();
         {
             let q = self.queries.get_mut(&id).expect("query checked above");
-            if is_root && q.finalized.contains(&epoch) {
+            let finalized = q.epochs.get(&epoch).is_some_and(|s| s.finalized);
+            if is_root && (epoch < q.retired_below || finalized) {
                 // The epoch was already finalized and reported.  For plain
                 // continuous queries late partials are dropped (best-effort
                 // soft state, as in PIER); for windowed queries lateness is
@@ -2300,16 +2457,17 @@ impl PierNode {
                 let Some(wspec) = q.spec.kind.window_spec() else { return };
                 let policy = self.config.window_late_policy;
                 let mut dropped = false;
+                let win = q.window_mut();
                 for w in wspec.windows_of(epoch) {
-                    if q.windows_closed.contains(&w) {
-                        match (policy, q.window_acc.get_mut(&w)) {
+                    if win.is_closed(w) {
+                        match (policy, win.acc.get_mut(&w)) {
                             (WindowLatePolicy::Patch, Some(acc)) => {
                                 for (key, states) in &groups {
                                     acc.merge_group(key.clone(), states);
                                 }
                                 // The late subtree never made it into the
                                 // epoch's contributor total, so add it here.
-                                *q.window_contrib.entry(w).or_insert(0) += contributors;
+                                *win.contrib.entry(w).or_insert(0) += contributors;
                                 reemit.push(w);
                             }
                             // Drop policy, or Patch past its retention
@@ -2320,13 +2478,13 @@ impl PierNode {
                         // The window is still open — the data is not late
                         // for *it*.  Fold it in; the window reports it when
                         // the watermark closes it.
-                        let acc = q.window_acc.entry(w).or_insert_with(|| {
+                        let acc = win.acc.entry(w).or_insert_with(|| {
                             GroupAggregator::new(group_exprs.clone(), aggs.clone())
                         });
                         for (key, states) in &groups {
                             acc.merge_group(key.clone(), states);
                         }
-                        *q.window_contrib.entry(w).or_insert(0) += contributors;
+                        *win.contrib.entry(w).or_insert(0) += contributors;
                     }
                 }
                 if dropped {
@@ -2342,33 +2500,26 @@ impl PierNode {
                 }
                 return;
             }
+            let state = q.epoch_mut(epoch).expect("retired epochs returned above");
             if is_root {
-                let acc = q
+                let acc = state
                     .root_acc
-                    .entry(epoch)
-                    .or_insert_with(|| GroupAggregator::new(group_exprs, aggs));
+                    .get_or_insert_with(|| Box::new(GroupAggregator::new(group_exprs, aggs)));
                 for (key, states) in groups {
                     acc.merge_group(key, &states);
                 }
-                *q.root_contrib.entry(epoch).or_insert(0) += contributors;
-                q.root_last_update.insert(epoch, ctx.now());
-                arm_finalize = q.finalize_armed.insert(epoch);
+                state.root_contrib += contributors;
+                state.root_last_update = Some(ctx.now());
+                arm_finalize = !std::mem::replace(&mut state.finalize_armed, true);
             } else {
-                let buf = q
+                let buf = state
                     .pending
-                    .entry(epoch)
-                    .or_insert_with(|| GroupAggregator::new(group_exprs, aggs));
+                    .get_or_insert_with(|| Box::new(GroupAggregator::new(group_exprs, aggs)));
                 for (key, states) in groups {
                     buf.merge_group(key, &states);
                 }
-                *q.pending_contrib.entry(epoch).or_insert(0) += contributors;
-                match mode {
-                    // In direct mode there is no hold-down: forward immediately.
-                    AggregationMode::Direct => forward_now = true,
-                    AggregationMode::Hierarchical => {
-                        arm_holddown = q.holddown_armed.insert(epoch);
-                    }
-                }
+                state.pending_contrib += contributors;
+                arm_holddown = !std::mem::replace(&mut state.holddown_armed, true);
             }
         }
         if arm_finalize {
@@ -2379,29 +2530,27 @@ impl PierNode {
             let delay = self.config.holddown;
             self.arm_timer(ctx, delay, TimerPurpose::Holddown(id, epoch));
         }
-        if forward_now {
-            self.forward_partials(ctx, id, epoch);
-        }
+    }
+
+    /// 1 the first time this node contributes to (query, epoch) as an
+    /// aggregation input, 0 afterwards.
+    fn first_contribution(&mut self, id: QueryId, epoch: u64) -> u64 {
+        let state = self.queries.get_mut(&id).and_then(|q| q.epoch_mut(epoch));
+        state.map_or(0, |s| u64::from(!std::mem::replace(&mut s.agg_contributed, true)))
     }
 
     /// Ship the buffered partials for (query, epoch) one hop closer to the root.
     fn forward_partials(&mut self, ctx: &mut Ctx<'_>, id: QueryId, epoch: u64) {
         let Some(q) = self.queries.get_mut(&id) else { return };
-        q.holddown_armed.remove(&epoch);
-        let Some(mut buf) = q.pending.remove(&epoch) else { return };
-        let contributors = q.pending_contrib.remove(&epoch).unwrap_or(0);
+        let Some(state) = q.epochs.get_mut(&epoch) else { return };
+        state.holddown_armed = false;
+        let Some(mut buf) = state.pending.take() else { return };
+        let contributors = std::mem::take(&mut state.pending_contrib);
         let groups = buf.take_partials();
         if groups.is_empty() && contributors == 0 {
             return;
         }
-        let origin = q.spec.origin();
-        let target = match self.config.aggregation {
-            AggregationMode::Direct => Some(origin),
-            AggregationMode::Hierarchical => {
-                self.dht.route_next_hop(&Self::agg_root_id(id)).map(|p| p.addr)
-            }
-        };
-        match target {
+        match self.dht.route_next_hop(&Self::agg_root_id(id)).map(|p| p.addr) {
             Some(next) if next != self.addr => {
                 self.stats.partials_sent += 1;
                 if let Some(q) = self.queries.get_mut(&id) {
@@ -2427,38 +2576,28 @@ impl PierNode {
     fn finalize_epoch(&mut self, ctx: &mut Ctx<'_>, id: QueryId, epoch: u64) {
         // Quiescence check: if partials are still trickling in, postpone the
         // finalization a few times so slow subtrees are not cut off.
-        let postpone = {
-            let Some(q) = self.queries.get_mut(&id) else { return };
-            let recently = q
-                .root_last_update
-                .get(&epoch)
-                .map(|&t| ctx.now().saturating_since(t) < self.config.holddown.saturating_mul(3))
-                .unwrap_or(false);
-            let extensions = q.root_extensions.entry(epoch).or_insert(0);
-            if recently && *extensions < 4 {
-                *extensions += 1;
-                true
-            } else {
-                false
-            }
-        };
-        if postpone {
-            let delay = self.config.holddown.saturating_mul(3);
-            self.arm_timer(ctx, delay, TimerPurpose::RootFinalize(id, epoch));
+        let holddown = self.config.holddown;
+        let Some(q) = self.queries.get_mut(&id) else { return };
+        let Some(state) = q.epochs.get_mut(&epoch) else { return };
+        let recently = state
+            .root_last_update
+            .is_some_and(|t| ctx.now().saturating_since(t) < holddown.saturating_mul(3));
+        if recently && state.root_extensions < 4 {
+            state.root_extensions += 1;
+            self.arm_timer(ctx, holddown.saturating_mul(3), TimerPurpose::RootFinalize(id, epoch));
             return;
         }
-        let Some(q) = self.queries.get_mut(&id) else { return };
-        q.finalize_armed.remove(&epoch);
-        q.finalized.insert(epoch);
-        let Some(acc) = q.root_acc.remove(&epoch) else { return };
-        let contributors = q.root_contrib.remove(&epoch).unwrap_or(0);
+        state.finalize_armed = false;
+        state.finalized = true;
+        let Some(acc) = state.root_acc.take() else { return };
+        let contributors = std::mem::take(&mut state.root_contrib);
         let spec = q.spec.clone();
 
         if let Some(wspec) = spec.kind.window_spec() {
             // Windowed aggregate: the epoch's merged state is not reported
             // on its own — it is folded into every window covering it, and
             // whole windows are reported when the watermark closes them.
-            self.fold_epoch_into_windows(ctx, id, epoch, acc, contributors, wspec);
+            self.fold_epoch_into_windows(ctx, id, epoch, *acc, contributors, wspec);
             return;
         }
 
@@ -2508,30 +2647,31 @@ impl PierNode {
     ) {
         let to_close = {
             let Some(q) = self.queries.get_mut(&id) else { return };
+            let win = q.window_mut();
             for w in wspec.windows_of(epoch) {
-                if q.windows_closed.contains(&w) {
+                if win.is_closed(w) {
                     // A straggler epoch whose windows all reported already;
                     // the late-partial path owns that case.
                     continue;
                 }
-                match q.window_acc.get_mut(&w) {
+                match win.acc.get_mut(&w) {
                     Some(wa) => wa.merge(&acc),
                     None => {
-                        q.window_acc.insert(w, acc.clone());
+                        win.acc.insert(w, acc.clone());
                     }
                 }
                 // "Responding nodes" for a window: the best (largest)
                 // epoch-level turnout among the epochs it covers.
-                let c = q.window_contrib.entry(w).or_insert(0);
+                let c = win.contrib.entry(w).or_insert(0);
                 *c = (*c).max(contributors);
             }
-            let watermark = q.window_watermark.map_or(epoch, |m| m.max(epoch));
-            q.window_watermark = Some(watermark);
-            let mut close: Vec<u64> = q
-                .window_acc
+            let watermark = win.watermark.map_or(epoch, |m| m.max(epoch));
+            win.watermark = Some(watermark);
+            let mut close: Vec<u64> = win
+                .acc
                 .keys()
                 .copied()
-                .filter(|&w| wspec.closing_epoch(w) <= watermark && !q.windows_closed.contains(&w))
+                .filter(|&w| wspec.closing_epoch(w) <= watermark && !win.is_closed(w))
                 .collect();
             close.sort_unstable();
             close
@@ -2552,28 +2692,22 @@ impl PierNode {
         let retain = self.config.window_late_policy == WindowLatePolicy::Patch;
         let (spec, mut rows, contributors) = {
             let Some(q) = self.queries.get_mut(&id) else { return };
-            let Some(acc) = q.window_acc.get(&window) else { return };
+            let win = q.window_mut();
+            let Some(acc) = win.acc.get(&window) else { return };
             let rows = acc.finalize();
-            let contributors = q.window_contrib.get(&window).copied().unwrap_or(0);
-            q.windows_closed.insert(window);
+            let contributors = win.contrib.get(&window).copied().unwrap_or(0);
+            win.closed.insert(window);
             if retain {
                 // Keep a bounded horizon of closed-window state so late
                 // partials can patch recent windows; anything older is
                 // freed (and further late data for it degrades to Drop).
                 let cutoff = window.saturating_sub(WINDOW_PATCH_RETAIN);
-                let stale: Vec<u64> = q
-                    .window_acc
-                    .keys()
-                    .copied()
-                    .filter(|w| *w < cutoff && q.windows_closed.contains(w))
-                    .collect();
-                for w in stale {
-                    q.window_acc.remove(&w);
-                    q.window_contrib.remove(&w);
-                }
+                let closed = &win.closed;
+                win.acc.retain(|w, _| *w >= cutoff || !closed.contains(w));
+                win.contrib.retain(|w, _| *w >= cutoff || !closed.contains(w));
             } else {
-                q.window_acc.remove(&window);
-                q.window_contrib.remove(&window);
+                win.acc.remove(&window);
+                win.contrib.remove(&window);
             }
             if !reemit {
                 q.trace.windows_closed += 1;
@@ -2940,11 +3074,7 @@ impl PierNode {
                     let partials = acc.take_partials();
                     // A node counts itself as a contributor once per epoch,
                     // however many final-stage batches it produces.
-                    let contributors = self
-                        .queries
-                        .get_mut(&spec.id)
-                        .map(|q| u64::from(q.agg_contributed.insert(epoch)))
-                        .unwrap_or(0);
+                    let contributors = self.first_contribution(spec.id, epoch);
                     self.absorb_partials(ctx, spec.id, epoch, partials, contributors, false);
                     return;
                 }
@@ -2996,6 +3126,9 @@ impl PierNode {
         key: Value,
         tuples: Vec<Tuple>,
     ) {
+        if self.drop_if_retired(id, epoch) {
+            return;
+        }
         let Some(q) = self.queries.get(&id) else { return };
         let spec = q.spec.clone();
         let Some(st) = spec.kind.join_stages().and_then(|s| s.get(stage as usize)) else {
@@ -3005,7 +3138,8 @@ impl PierNode {
         // briefly mixes layouts across nodes) may not match this stage's
         // column layout; drop them rather than join garbage.  The same
         // guard applies below to tuples *stored* before this node swapped
-        // specs — the hash tables are never purged on a swap.
+        // specs: a swap leaves the epochs already under way as they are,
+        // and their build sides go only when the epoch retires.
         let expect = if side == 0 { st.left_ship_cols.len() } else { st.right_ship_cols.len() };
         let other_expect =
             if side == 0 { st.right_ship_cols.len() } else { st.left_ship_cols.len() };
@@ -3042,8 +3176,10 @@ impl PierNode {
                 .as_deref()
                 .and_then(|c| c.stages.get(stage as usize))
                 .and_then(|s| s.post.as_ref());
-            let Some(q) = self.queries.get_mut(&id) else { return };
-            let build = q.vec_join.entry((stage, epoch)).or_default();
+            let Some(state) = self.queries.get_mut(&id).and_then(|q| q.epoch_mut(epoch)) else {
+                return;
+            };
+            let build = &mut state.stage(stage).build;
             let incoming = build.insert(side as usize, &key, &tuples);
             probe_joined(
                 &incoming,
@@ -3057,20 +3193,13 @@ impl PierNode {
             // other side once per arrival (matches already stored locally
             // pair with every incoming tuple, exactly as a sequence of
             // single-tuple deliveries would).
-            let Some(q) = self.queries.get_mut(&id) else { return };
-            let matches: Vec<Tuple> = if side == 0 {
-                q.join_left
-                    .entry((stage, epoch, key.clone()))
-                    .or_default()
-                    .extend(tuples.iter().cloned());
-                q.join_right.get(&(stage, epoch, key)).cloned().unwrap_or_default()
-            } else {
-                q.join_right
-                    .entry((stage, epoch, key.clone()))
-                    .or_default()
-                    .extend(tuples.iter().cloned());
-                q.join_left.get(&(stage, epoch, key)).cloned().unwrap_or_default()
+            let Some(state) = self.queries.get_mut(&id).and_then(|q| q.epoch_mut(epoch)) else {
+                return;
             };
+            let tables = &mut state.stage(stage).scalar;
+            tables[side as usize].entry(key.clone()).or_default().extend(tuples.iter().cloned());
+            let matches: Vec<Tuple> =
+                tables[1 - side as usize].get(&key).cloned().unwrap_or_default();
 
             let filter_op = st.post_filter.clone().map(FilterOp::new);
             let mut outputs = Vec::new();
@@ -3097,6 +3226,9 @@ impl PierNode {
         let Some((id, stage, epoch, left_tuple)) = self.pending_fetch.remove(&req_id) else {
             return;
         };
+        if self.drop_if_retired(id, epoch) {
+            return;
+        }
         let Some(q) = self.queries.get(&id) else { return };
         let spec = q.spec.clone();
         let Some(st) = spec.kind.join_stages().and_then(|s| s.get(stage as usize)) else {
@@ -3143,11 +3275,20 @@ impl PierNode {
         bits: Vec<u64>,
         k: u8,
     ) {
+        if self.drop_if_retired(id, epoch) {
+            return;
+        }
         let arm = {
-            let Some(q) = self.queries.get_mut(&id) else { return };
+            let Some(state) = self.queries.get_mut(&id).and_then(|q| q.epoch_mut(epoch)) else {
+                return;
+            };
+            let st = state.stage(stage);
             let incoming = BloomFilter::from_words(bits, k);
-            q.blooms.entry((stage, epoch)).and_modify(|b| b.union(&incoming)).or_insert(incoming);
-            q.bloom_armed.insert((stage, epoch))
+            match &mut st.bloom {
+                Some(b) => b.union(&incoming),
+                None => st.bloom = Some(incoming),
+            }
+            !std::mem::replace(&mut st.bloom_armed, true)
         };
         if arm {
             let delay = self.config.bloom_collect_delay;
@@ -3156,24 +3297,27 @@ impl PierNode {
     }
 
     fn broadcast_combined_bloom(&mut self, ctx: &mut Ctx<'_>, id: QueryId, stage: u8, epoch: u64) {
-        let Some(q) = self.queries.get_mut(&id) else { return };
-        q.bloom_armed.remove(&(stage, epoch));
+        let Some(state) = self.queries.get_mut(&id).and_then(|q| q.epochs.get_mut(&epoch)) else {
+            return;
+        };
+        let st = state.stage(stage);
+        st.bloom_armed = false;
         let (bits, k) = if stage == 0 {
             // Stage 0 summarizes complete local scans, so one broadcast per
             // epoch suffices; consume the collection.
-            let Some(filter) = q.blooms.remove(&(stage, epoch)) else { return };
+            let Some(filter) = st.bloom.take() else { return };
             filter.to_words()
         } else {
             // Inner stages summarize *streamed* intermediates: keep the
             // collection accumulating so supplementary summaries (late keys
             // reopen a join site's filter) re-broadcast a grown filter, and
             // suppress re-broadcasts that add no new bits.
-            let Some(filter) = q.blooms.get(&(stage, epoch)) else { return };
+            let Some(filter) = &st.bloom else { return };
             let words = filter.to_words();
-            if q.bloom_sent.get(&(stage, epoch)) == Some(&words) {
+            if st.bloom_sent.as_ref() == Some(&words) {
                 return;
             }
-            q.bloom_sent.insert((stage, epoch), words.clone());
+            st.bloom_sent = Some(words.clone());
             words
         };
         self.dht.broadcast(
@@ -3212,8 +3356,10 @@ impl PierNode {
         let bits = self.clamped_bloom_bits(suggested_bits);
         let mut arm = false;
         {
-            let Some(q) = self.queries.get_mut(&id) else { return };
-            let entry = q.inner_summaries.entry((stage, epoch)).or_insert_with(|| {
+            let Some(state) = self.queries.get_mut(&id).and_then(|q| q.epoch_mut(epoch)) else {
+                return;
+            };
+            let entry = state.stage(stage).inner_summary.get_or_insert_with(|| {
                 arm = true;
                 InnerSummary {
                     filter: BloomFilter::new(bits, 4),
@@ -3252,8 +3398,11 @@ impl PierNode {
     fn ship_inner_summary(&mut self, ctx: &mut Ctx<'_>, id: QueryId, stage: u8, epoch: u64) {
         let quiet_after = self.config.holddown.saturating_mul(3);
         let shipped = {
-            let Some(q) = self.queries.get_mut(&id) else { return };
-            let Some(entry) = q.inner_summaries.get_mut(&(stage, epoch)) else { return };
+            let Some(state) = self.queries.get_mut(&id).and_then(|q| q.epochs.get_mut(&epoch))
+            else {
+                return;
+            };
+            let Some(entry) = state.stage(stage).inner_summary.as_mut() else { return };
             if entry.shipped {
                 return;
             }
@@ -3295,8 +3444,10 @@ impl PierNode {
         filter: Option<&BloomFilter>,
     ) {
         let first = {
-            let Some(q) = self.queries.get_mut(&id) else { return };
-            q.bloom_phase2_done.insert((stage, epoch))
+            let Some(state) = self.queries.get_mut(&id).and_then(|q| q.epoch_mut(epoch)) else {
+                return;
+            };
+            !std::mem::replace(&mut state.stage(stage).phase2_done, true)
         };
         let spec = self.queries[&id].spec.clone();
         let Some(st) = spec.kind.join_stages().and_then(|s| s.get(stage as usize)).cloned() else {
@@ -3315,11 +3466,10 @@ impl PierNode {
             // grows, so they are not owed to anyone until a refresh passes
             // them.
             let Some(f) = filter else { return };
-            let held =
-                match self.queries.get_mut(&id).and_then(|q| q.held_rows.remove(&(stage, epoch))) {
-                    Some(rows) if !rows.is_empty() => rows,
-                    _ => return,
-                };
+            let held = self.held_rows(id, epoch, stage).map(std::mem::take).unwrap_or_default();
+            if held.is_empty() {
+                return;
+            }
             let (pass, keep): (Vec<Tuple>, Vec<Tuple>) =
                 held.into_iter().partition(|r| f.may_contain(&st.right_key.eval(r)));
             let tested = (pass.len() + keep.len()) as u64;
@@ -3328,9 +3478,9 @@ impl PierNode {
             if let Some(q) = self.queries.get_mut(&id) {
                 *q.trace.stage_bloom_tested.entry(stage).or_insert(0) += tested;
                 *q.trace.stage_bloom_passed.entry(stage).or_insert(0) += pass.len() as u64;
-                if !keep.is_empty() {
-                    q.held_rows.insert((stage, epoch), keep);
-                }
+            }
+            if let Some(rows) = self.held_rows(id, epoch, stage) {
+                *rows = keep;
             }
             if pass.is_empty() {
                 return;
@@ -3385,9 +3535,9 @@ impl PierNode {
                 if let Some(q) = self.queries.get_mut(&id) {
                     *q.trace.stage_bloom_tested.entry(stage).or_insert(0) += tested;
                     *q.trace.stage_bloom_passed.entry(stage).or_insert(0) += passed;
-                    if !held.is_empty() {
-                        q.held_rows.insert((stage, epoch), held);
-                    }
+                }
+                if let Some(rows) = self.held_rows(id, epoch, stage) {
+                    *rows = held;
                 }
                 keep
             }
@@ -3414,6 +3564,12 @@ impl PierNode {
         self.process_upcalls(ctx);
     }
 
+    /// The inner-stage scan-site rows held back by the combined filter.
+    fn held_rows(&mut self, id: QueryId, epoch: u64, stage: u8) -> Option<&mut Vec<Tuple>> {
+        let state = self.queries.get_mut(&id)?.epochs.get_mut(&epoch)?;
+        Some(&mut state.stage(stage).held_rows)
+    }
+
     fn run_bloom_phase2(&mut self, ctx: &mut Ctx<'_>, id: QueryId, epoch: u64) {
         let Some(q) = self.queries.get(&id) else { return };
         let spec = q.spec.clone();
@@ -3424,7 +3580,12 @@ impl PierNode {
         if st.strategy != JoinStrategy::BloomFilter {
             return;
         }
-        let Some(filter) = self.queries[&id].combined_bloom.get(&(0, epoch)).cloned() else {
+        let Some(filter) = self
+            .queries
+            .get_mut(&id)
+            .and_then(|q| q.epochs.get_mut(&epoch))
+            .and_then(|s| s.stage(0).combined_bloom.clone())
+        else {
             return;
         };
         let now = ctx.now();
@@ -3941,6 +4102,11 @@ impl Node for PierNode {
             return;
         }
         let Some(purpose) = self.timer_purposes.remove(&token) else { return };
+        if let Some((id, epoch)) = purpose.epoch_scope() {
+            if let Some(state) = self.queries.get_mut(&id).and_then(|q| q.epochs.get_mut(&epoch)) {
+                state.timers = state.timers.saturating_sub(1);
+            }
+        }
         match purpose {
             TimerPurpose::Epoch(id) => {
                 let continuous = self.queries.get(&id).and_then(|q| q.spec.continuous);
@@ -3957,7 +4123,6 @@ impl Node for PierNode {
                     let (evaluations, spec) = {
                         let q = self.queries.get_mut(&id).expect("query exists");
                         q.epoch += 1;
-                        q.epoch_started_at = ctx.now();
                         // A staged re-plan is about to take effect in this
                         // epoch's evaluation; re-disseminating the stale spec
                         // would flip remote nodes back.
@@ -3970,6 +4135,7 @@ impl Node for PierNode {
                     if spec.origin() == self.addr && evaluations % 3 == 0 {
                         self.dht.broadcast(ctx, PierPayload::Query(Box::new(spec)));
                     }
+                    self.retire(id, ctx.now());
                     self.run_epoch(ctx, id);
                     let delay = epoch_align_delay(ctx.now(), &c);
                     self.arm_timer(ctx, delay, TimerPurpose::Epoch(id));

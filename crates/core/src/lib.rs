@@ -9,8 +9,10 @@
 //!
 //! * a **declarative interface** — a SQL dialect with continuous-query
 //!   extensions ([`sql`], [`planner`]);
-//! * an **algebraic interface** — "boxes and arrows" dataflow graphs
-//!   supporting trees, DAGs, and cyclic (recursive) graphs ([`dataflow`]);
+//! * an **algebraic interface** — [`PierNode::submit`] takes a
+//!   [`QueryKind`] built directly: scans, filters, projections, aggregates,
+//!   multi-stage join DAGs and recursive expansions, executed by the
+//!   engine's operators ([`dataflow`] holds the local ones);
 //! * **multihop, in-network operators** — hierarchical aggregation, symmetric
 //!   rehash / Fetch-Matches / Bloom-filter joins, recursive expansion, and
 //!   query/result dissemination ([`engine`]);
@@ -84,8 +86,7 @@ pub use catalog::{Catalog, TableDef, TableStats};
 pub use column::{Column, ColumnData, ColumnarBatch};
 pub use encoding::{ColumnarWire, TupleBlock, WireColumn};
 pub use engine::{
-    AggregationMode, EngineStats, PierConfig, PierError, PierMsg, PierNode, QueryResults,
-    WindowLatePolicy,
+    EngineStats, PierConfig, PierError, PierMsg, PierNode, QueryResults, WindowLatePolicy,
 };
 pub use expr::{BinaryOp, Expr, ScalarFunc, UnaryOp};
 pub use kernel::Kernel;

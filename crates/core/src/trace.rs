@@ -121,6 +121,10 @@ pub struct OpTrace {
     /// Alert tuples this root published into the query's alert namespace
     /// (`HAVING` trigger on a windowed aggregate).
     pub alerts_emitted: u64,
+    /// Epoch states of this query this node freed at epoch boundaries.
+    pub epochs_retired: u64,
+    /// Arrivals for an already-retired epoch this node counted and dropped.
+    pub late_epoch_dropped: u64,
 }
 
 impl OpTrace {
@@ -178,6 +182,8 @@ impl OpTrace {
         self.window_late_dropped += other.window_late_dropped;
         self.window_late_patched += other.window_late_patched;
         self.alerts_emitted += other.alerts_emitted;
+        self.epochs_retired += other.epochs_retired;
+        self.late_epoch_dropped += other.late_epoch_dropped;
     }
 
     /// Has this trace recorded any activity at all?
@@ -188,9 +194,9 @@ impl OpTrace {
 
 impl WireSize for OpTrace {
     fn wire_size(&self) -> usize {
-        // 19 fixed u64 counters + per-switch strings + per-epoch and
+        // 21 fixed u64 counters + per-switch strings + per-epoch and
         // per-stage pairs.
-        19 * 8
+        21 * 8
             + self.switches.iter().map(|s| s.len() + 2).sum::<usize>()
             + self.epoch_rows.len() * 16
             + (self.stage_shipped.len()
